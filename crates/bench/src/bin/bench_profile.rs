@@ -1,8 +1,9 @@
 //! Profiling drill-down: run one quick HARP training pass on GEANT with
 //! full observability (spans + per-op tape timing) and print where the time
 //! goes — the stage breakdown (GCN / SETTRANS / MLP1 / RAU / backward /
-//! merge / validate) as a span tree, plus the hottest tape ops by total
-//! forward/backward nanoseconds.
+//! merge / validate) as a span tree, the hottest tape ops by total
+//! forward/backward nanoseconds, and the tape's physical memory per pass
+//! (value-arena floats and peak live gradient floats).
 //!
 //! Usage: `cargo run --release -p harp-bench --bin bench_profile [epochs]`
 //! (default 1 epoch). Structured events stream to stderr in human form;
@@ -89,6 +90,25 @@ fn main() {
             h.sum as f64 / 1e6,
             h.mean()
         );
+    }
+
+    // Physical memory behind the op table: arena floats exclude reshape
+    // views (unlike summed node values), and only gradients still waiting
+    // to propagate or bound for a parameter count as live.
+    println!("\n--- tape memory per backward pass (floats, mean / max) ---");
+    for (name, label) in [
+        ("tape.arena_floats", "value arena"),
+        ("tape.bwd_peak_grad_floats", "peak live gradients"),
+    ] {
+        if let Some(h) = histograms.iter().find(|h| h.name == name) {
+            println!(
+                "  {:<32} {:>12.0} / {:>10}  over {} passes",
+                label,
+                h.mean(),
+                h.max,
+                h.count
+            );
+        }
     }
 
     println!("\n--- counters ---");

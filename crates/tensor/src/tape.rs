@@ -6,18 +6,47 @@
 //! RAU loop) can be inspected mid-graph with [`Tape::value`] — HARP uses this
 //! to pick data-dependent bottleneck indices while keeping gradients exact
 //! (subgradient through the argmax).
+//!
+//! # Memory
+//!
+//! Values live in one bump arena per tape. Computed ops append their value
+//! at the arena tail; [`Tape::reshape`] is a *view* that records its
+//! parent's arena range and copies nothing.
+//!
+//! Gradients are owned by the reverse walk, one optional buffer per node.
+//! When the walk reaches a node it takes the node's buffer, propagates it,
+//! and drops it, so only gradients still waiting to propagate and those
+//! bound for parameter leaves are alive at once. Identity edges (Reshape,
+//! both sides of Add, the `a` side of Sub, AddBias and AddScalar) hand the
+//! buffer itself to an input that has none yet instead of zero-filling a
+//! new one and adding; an input that already has a buffer (a later
+//! consumer wrote it) gets an add, as on every other edge.
+//!
+//! # Why moving a gradient keeps the bits
+//!
+//! The move replaces `+0.0 + d` by `d`. In round-to-nearest the two are
+//! bitwise equal for every `d` except `-0.0`, where the sum is `+0.0`. A
+//! `-0.0` gradient element can only come from a product (or a fused
+//! multiply-add) with a zero factor or an underflow, and a moved `-0.0`
+//! stays a zero downstream: every backward rule is linear in the incoming
+//! gradient (it scales by forward values and sums), and none divides by,
+//! compares or branches on a gradient. So every nonzero gradient element
+//! keeps its bits and a zero can differ only in sign. Parameter gradients
+//! are then added into `+0.0`-initialised store or [`crate::GradBuffer`]
+//! buffers, where `+0.0 + -0.0 = +0.0` erases that sign too: they are
+//! bitwise equal to those of a tape that zero-fills and adds.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use harp_obs::Counter;
+use harp_obs::{Counter, Histogram};
 
 use crate::kernels;
 
 /// Nodes recorded across all tapes (counts forward-op executions, since
 /// every constructor computes its value eagerly).
 static NODES_RECORDED: Counter = Counter::new("tape.nodes_recorded");
-/// Reverse passes run (`backward` / `backward_into` / `gradients`).
+/// Reverse passes run (`backward` / `backward_into`).
 static BACKWARD_PASSES: Counter = Counter::new("tape.backward_passes");
 use crate::op::Op;
 use crate::param::{ParamId, ParamStore};
@@ -60,9 +89,10 @@ struct Node {
     op: Op,
     shape: Shape,
     /// `(offset, len)` of this node's forward value in the tape's arena
-    /// buffer. Values are bump-allocated: each constructor appends at the
-    /// buffer tail, so offsets are monotone in recording order and a node's
-    /// value never moves relative to the buffer once recorded.
+    /// buffer. Computed values are bump-allocated at the buffer tail; a
+    /// view (Reshape) repeats its parent's range. Either way the range lies
+    /// below the tail when the node is recorded, the arena is append-only,
+    /// and a node's value never moves or changes once recorded.
     val: (usize, usize),
     /// Set when this leaf mirrors a parameter in a `ParamStore`.
     param: Option<ParamId>,
@@ -112,10 +142,15 @@ const ARENA_POOL_MAX: usize = 4;
 /// Tapes created from a pooled (warm) arena vs fresh storage.
 static ARENA_REUSED: Counter = Counter::new("tape.arena_reused");
 static ARENA_FRESH: Counter = Counter::new("tape.arena_fresh");
+/// Physical arena floats of a tape at each reverse walk (its forward size).
+static ARENA_FLOATS: Histogram = Histogram::new("tape.arena_floats");
+/// Largest number of gradient floats alive at once during a reverse walk.
+static PEAK_GRAD_FLOATS: Histogram = Histogram::new("tape.bwd_peak_grad_floats");
 
 /// A reverse-mode autodiff tape. Create one per forward/backward pass.
 pub struct Tape {
-    /// Bump arena for node values; `Node.val` ranges index into it.
+    /// Bump arena for node values; `Node.val` ranges index into it (views
+    /// share their parent's range).
     buf: Vec<f32>,
     nodes: Vec<Node>,
     /// Instant of the previous node record; `Some` iff per-op forward
@@ -317,8 +352,21 @@ impl Tape {
         aux_idx: Vec<usize>,
         aux_f: Vec<f32>,
     ) -> Var {
-        let len = self.buf.len() - start;
-        debug_assert_eq!(shape.numel(), len, "value/shape mismatch");
+        let val = (start, self.buf.len() - start);
+        self.record(op, shape, val, aux_idx, aux_f)
+    }
+
+    /// Record a node whose value is the arena range `val` (`(offset, len)`):
+    /// freshly appended for computed ops, an earlier node's range for views.
+    fn record(
+        &mut self,
+        op: Op,
+        shape: Shape,
+        val: (usize, usize),
+        aux_idx: Vec<usize>,
+        aux_f: Vec<f32>,
+    ) -> Var {
+        debug_assert_eq!(shape.numel(), val.1, "value/shape mismatch");
         NODES_RECORDED.add(1);
         if let Some(last) = &mut self.fwd_clock {
             let now = Instant::now();
@@ -329,7 +377,7 @@ impl Tape {
         self.nodes.push(Node {
             op,
             shape,
-            val: (start, len),
+            val,
             param: None,
             aux_idx,
             aux_f,
@@ -745,6 +793,9 @@ impl Tape {
     // ------------------------------------------------------------------
 
     /// Reinterpret `a` with a new shape of equal element count.
+    ///
+    /// The result is a view: it shares `a`'s arena range and copies
+    /// nothing (row-major layout is unchanged by a reshape).
     pub fn reshape(&mut self, a: Var, shape: Vec<usize>) -> Var {
         let shape = Shape(shape);
         assert_eq!(
@@ -754,10 +805,8 @@ impl Tape {
             self.nodes[a.0].shape,
             shape
         );
-        let (ao, alen) = self.range(a);
-        let start = self.buf.len();
-        self.buf.extend_from_within(ao..ao + alen);
-        self.push(Op::Reshape(a), shape, start)
+        let val = self.range(a);
+        self.record(Op::Reshape(a), shape, val, Vec::new(), Vec::new())
     }
 
     /// Concatenate rank-2 tensors along the last axis.
@@ -1201,9 +1250,9 @@ impl Tape {
     /// parameter gradients into `store` (added to any existing gradients, so
     /// multiple backward passes accumulate like a batch).
     pub fn backward(&self, loss: Var, store: &mut ParamStore) {
-        let grads = self.gradients(loss);
+        let grads = self.param_gradients(loss);
         for (i, node) in self.nodes.iter().enumerate() {
-            if let (Some(pid), Some(g)) = (node.param, grads[i].as_ref()) {
+            if let (Some(pid), Some(g)) = (node.param, grads.slots[i].as_ref()) {
                 let dst = store.grad_mut(pid);
                 for (d, s) in dst.iter_mut().zip(g) {
                     *d += *s;
@@ -1221,9 +1270,9 @@ impl Tape {
     /// ([`ParamStore::merge_grads`]), so the result is bitwise-reproducible
     /// for a given worker count.
     pub fn backward_into(&self, loss: Var, buf: &mut crate::GradBuffer) {
-        let grads = self.gradients(loss);
+        let grads = self.param_gradients(loss);
         for (i, node) in self.nodes.iter().enumerate() {
-            if let (Some(pid), Some(g)) = (node.param, grads[i].as_ref()) {
+            if let (Some(pid), Some(g)) = (node.param, grads.slots[i].as_ref()) {
                 let dst = &mut buf.bufs[pid.0];
                 for (d, s) in dst.iter_mut().zip(g) {
                     *d += *s;
@@ -1232,59 +1281,80 @@ impl Tape {
         }
     }
 
-    /// Compute gradients of the scalar `loss` with respect to every node.
-    /// Returns one optional buffer per node (None = not on any path to the
-    /// loss). Mostly useful for testing; training uses [`Tape::backward`].
-    pub fn gradients(&self, loss: Var) -> Vec<Option<Vec<f32>>> {
+    /// Physical size of the value arena in floats: every computed node's
+    /// value once, views ([`Tape::reshape`]) not at all. Compare with the
+    /// sum of [`NodeView::value`] lengths, which counts each view again.
+    pub fn arena_len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// The reverse walk from the scalar `loss`. Each node's gradient is
+    /// owned by the walk: it is passed down by move on pass-through edges
+    /// and dropped once its node has propagated it, so on return only
+    /// parameter leaves (reached from `loss`) hold a buffer.
+    fn param_gradients(&self, loss: Var) -> GradSlots {
         assert_eq!(
             self.nodes[loss.0].val.1, 1,
             "backward: loss must be scalar, got shape {:?}",
             self.nodes[loss.0].shape
         );
         BACKWARD_PASSES.add(1);
-        let mut grads: Vec<Option<Vec<f32>>> = vec![None; self.nodes.len()];
-        grads[loss.0] = Some(vec![1.0]);
+        let mut grads = GradSlots::new(self.nodes.len());
+        grads.buf(loss, 1)[0] = 1.0;
 
         let op_timing = harp_obs::op_timing_enabled();
         for i in (0..=loss.0).rev() {
-            let g = match grads[i].take() {
-                Some(g) => g,
-                None => continue,
+            let Some(g) = grads.slots[i].take() else {
+                continue;
             };
+            if self.nodes[i].param.is_some() {
+                grads.slots[i] = Some(g);
+                continue;
+            }
             if op_timing {
                 let t0 = Instant::now();
-                self.backprop_node(i, &g, &mut grads);
+                self.backprop_node(i, g, &mut grads);
                 let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 harp_obs::histogram(&format!("tape.bwd.{}", self.nodes[i].op.kind())).record(ns);
             } else {
-                self.backprop_node(i, &g, &mut grads);
+                self.backprop_node(i, g, &mut grads);
             }
-            grads[i] = Some(g);
         }
+        ARENA_FLOATS.record(self.buf.len() as u64);
+        PEAK_GRAD_FLOATS.record(grads.peak as u64);
         grads
     }
 
-    fn grad_buf<'a>(&self, grads: &'a mut [Option<Vec<f32>>], v: Var) -> &'a mut Vec<f32> {
-        let n = self.nodes[v.0].val.1;
-        grads[v.0].get_or_insert_with(|| vec![0.0; n])
+    /// `v`'s gradient buffer for accumulation, zero-filled on first touch.
+    fn grad_buf<'a>(&self, grads: &'a mut GradSlots, v: Var) -> &'a mut Vec<f32> {
+        grads.buf(v, self.nodes[v.0].val.1)
     }
 
+    /// Propagate node `i`'s gradient `dy_buf` to its inputs. Identity
+    /// edges hand the buffer itself on ([`GradSlots::pass`]); every other
+    /// edge reads it, and it is dropped on return.
     #[allow(clippy::too_many_lines)]
-    fn backprop_node(&self, i: usize, dy: &[f32], grads: &mut [Option<Vec<f32>>]) {
+    fn backprop_node(&self, i: usize, dy_buf: Vec<f32>, grads: &mut GradSlots) {
         use Op::*;
         let node = &self.nodes[i];
+        let dy: &[f32] = &dy_buf;
         match &node.op {
             Leaf => {}
 
+            // The `b` side takes the buffer, so the `a` side copies; with
+            // a == b the copy lands first and the buffer is added to it,
+            // the same order as two adds.
             Add(a, b) => {
-                let ga = self.grad_buf(grads, *a);
-                for (g, d) in ga.iter_mut().zip(dy) {
-                    *g += d;
-                }
+                grads.pass_copy(*a, dy);
+                return grads.pass(*b, dy_buf);
+            }
+            // Distinct inputs: `b` reads `dy` first so `a` can take it.
+            Sub(a, b) if a != b => {
                 let gb = self.grad_buf(grads, *b);
                 for (g, d) in gb.iter_mut().zip(dy) {
-                    *g += d;
+                    *g -= d;
                 }
+                return grads.pass(*a, dy_buf);
             }
             Sub(a, b) => {
                 let ga = self.grad_buf(grads, *a);
@@ -1396,12 +1466,7 @@ impl Tape {
                     *g += d * c;
                 }
             }
-            AddScalar(a, _) => {
-                let ga = self.grad_buf(grads, *a);
-                for (g, d) in ga.iter_mut().zip(dy) {
-                    *g += d;
-                }
-            }
+            AddScalar(a, _) => return grads.pass(*a, dy_buf),
             Recip(a, eps) => {
                 let xv = self.value(*a);
                 let yv = self.value(Var(i));
@@ -1413,21 +1478,18 @@ impl Tape {
                 }
             }
 
+            // The bias sums `dy` first so `a` can take it. With a == b the
+            // tensor is a single row, so both orders add `dy` twice.
             AddBias(a, b) => {
                 let w = self.nodes[b.0].val.1;
                 let rows = node.val.1 / w;
-                {
-                    let ga = self.grad_buf(grads, *a);
-                    for (g, d) in ga.iter_mut().zip(dy) {
-                        *g += d;
-                    }
-                }
                 let gb = self.grad_buf(grads, *b);
                 for r in 0..rows {
                     for j in 0..w {
                         gb[j] += dy[r * w + j];
                     }
                 }
+                return grads.pass(*a, dy_buf);
             }
             MulRow(a, b) => {
                 let w = self.nodes[b.0].val.1;
@@ -1475,20 +1537,22 @@ impl Tape {
                 let (m, k) = self.nodes[a.0].shape.as_matrix();
                 let (_, n) = self.nodes[w.0].shape.as_matrix();
                 // Route dy through the activation using the saved output's
-                // sign: alpha > 0 means y > 0 iff the pre-activation > 0.
+                // sign (alpha > 0 means y > 0 iff the pre-activation > 0),
+                // in place: the walk owns dy and nothing else reads it.
                 let yv = self.value(Var(i));
-                let dh: Vec<f32> = match alpha {
-                    None => yv
-                        .iter()
-                        .zip(dy)
-                        .map(|(&y, &d)| if y > 0.0 { d } else { 0.0 })
-                        .collect(),
-                    Some(al) => yv
-                        .iter()
-                        .zip(dy)
-                        .map(|(&y, &d)| if y > 0.0 { d } else { al * d })
-                        .collect(),
-                };
+                let mut dh = dy_buf;
+                match alpha {
+                    None => {
+                        for (d, &y) in dh.iter_mut().zip(yv) {
+                            *d = if y > 0.0 { *d } else { 0.0 };
+                        }
+                    }
+                    Some(al) => {
+                        for (d, &y) in dh.iter_mut().zip(yv) {
+                            *d = if y > 0.0 { *d } else { al * *d };
+                        }
+                    }
+                }
                 {
                     // da += dh * w^T
                     let ga = self.grad_buf(grads, a);
@@ -1507,6 +1571,7 @@ impl Tape {
                         gb[j] += dh[r * n + j];
                     }
                 }
+                return grads.release(dh);
             }
             BatchMatMul(a, b) => {
                 let (bt, m, k) = self.nodes[a.0].shape.as_batched();
@@ -1565,12 +1630,7 @@ impl Tape {
                 }
             }
 
-            Reshape(a) => {
-                let ga = self.grad_buf(grads, *a);
-                for (g, d) in ga.iter_mut().zip(dy) {
-                    *g += d;
-                }
-            }
+            Reshape(a) => return grads.pass(*a, dy_buf),
             ConcatCols(parts) => {
                 let rows = node.shape.leading_rows();
                 let total_w = node.shape.last_dim();
@@ -1720,6 +1780,75 @@ impl Tape {
                 }
             }
         }
+        grads.release(dy_buf);
+    }
+}
+
+/// Per-node gradient buffers of one reverse walk, with a count of the
+/// gradient floats alive at once.
+struct GradSlots {
+    slots: Vec<Option<Vec<f32>>>,
+    live: usize,
+    peak: usize,
+}
+
+impl GradSlots {
+    fn new(nodes: usize) -> Self {
+        GradSlots {
+            slots: vec![None; nodes],
+            live: 0,
+            peak: 0,
+        }
+    }
+
+    fn grew(&mut self, n: usize) {
+        self.live += n;
+        self.peak = self.peak.max(self.live);
+    }
+
+    /// `v`'s `n`-float buffer for accumulation, zero-filled on first touch.
+    fn buf(&mut self, v: Var, n: usize) -> &mut Vec<f32> {
+        if self.slots[v.0].is_none() {
+            self.grew(n);
+        }
+        self.slots[v.0].get_or_insert_with(|| vec![0.0; n])
+    }
+
+    /// Pass the walk-owned `dy` unchanged to `v` (an identity edge): `v`
+    /// takes the buffer itself when it has none yet, else `dy` is added
+    /// and dropped. See the module docs for why the move is exact.
+    fn pass(&mut self, v: Var, dy: Vec<f32>) {
+        match &mut self.slots[v.0] {
+            None => self.slots[v.0] = Some(dy),
+            Some(g) => {
+                for (g, d) in g.iter_mut().zip(&dy) {
+                    *g += d;
+                }
+                self.release(dy);
+            }
+        }
+    }
+
+    /// [`Self::pass`] for an identity edge that cannot take the buffer
+    /// because another edge of the same node still reads it: a copy on
+    /// first touch, an add otherwise.
+    fn pass_copy(&mut self, v: Var, dy: &[f32]) {
+        match &mut self.slots[v.0] {
+            None => {
+                self.grew(dy.len());
+                self.slots[v.0] = Some(dy.to_vec());
+            }
+            Some(g) => {
+                for (g, d) in g.iter_mut().zip(dy) {
+                    *g += d;
+                }
+            }
+        }
+    }
+
+    /// Drop a gradient whose node has propagated it.
+    fn release(&mut self, g: Vec<f32>) {
+        self.live -= g.len();
     }
 }
 
@@ -1915,6 +2044,158 @@ mod tests {
         }
         // d(a^2)/da = 2a = 6, twice = 12
         assert_eq!(store.grad(a), &[12.0]);
+    }
+
+    /// A graph whose every pass-through edge kind (Reshape, Add on both
+    /// sides, Sub, AddBias, AddScalar) carries signed zeros and negatives,
+    /// and whose parameters are reached both first (move) and again by an
+    /// earlier consumer (add). Returns each parameter's gradient bits.
+    fn pass_through_grad_bits() -> Vec<Vec<u32>> {
+        let mut store = ParamStore::new();
+        let x = store.register("x", vec![2, 3], vec![0.0, -0.0, -1.5, 2.25, -3.0, 0.5]);
+        let b = store.register("b", vec![3], vec![-0.0, 0.75, -2.0]);
+        let c = store.register("c", vec![6], vec![-0.0, 0.0, 1.25, -0.5, 3.0, -2.0]);
+        let mut t = Tape::new();
+        let xv = t.param(&store, x);
+        let bv = t.param(&store, b);
+        let cv = t.param(&store, c);
+        let r1 = t.reshape(xv, vec![3, 2]);
+        let r2 = t.reshape(r1, vec![6]);
+        let s = t.add(r2, r2);
+        let d = t.sub(s, cv);
+        let u = t.add_scalar(d, -0.0);
+        let m = t.mul(u, cv);
+        let h = t.add_bias(xv, bv);
+        let h = t.reshape(h, vec![6]);
+        let y = t.add(m, h);
+        let w = t.constant(vec![6], vec![-0.0, 1.0, -2.0, 0.0, 0.5, -1.0]);
+        let z = t.mul(y, w);
+        let loss = t.sum_all(z);
+        t.backward(loss, &mut store);
+        [x, b, c]
+            .iter()
+            .map(|&p| store.grad(p).iter().map(|g| g.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn pass_through_gradients_match_pinned_bits() {
+        // Pinned on the copying tape that zero-filled every gradient
+        // buffer before adding. Every zero here is +0.0 although -0.0
+        // flows down several edges: the final accumulation into the
+        // store's +0.0 gradients absorbs the sign.
+        let as_bits = |v: &[f32]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        let bits = pass_through_grad_bits();
+        assert_eq!(bits[0], as_bits(&[0.0, 1.0, -7.0, 0.0, 3.5, 3.0]));
+        assert_eq!(bits[1], as_bits(&[0.0, 1.5, -3.0]));
+        assert_eq!(bits[2], as_bits(&[0.0, 0.0, 11.0, 0.0, -6.0, -5.0]));
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn reshape_is_a_zero_copy_view() {
+        let mut t = Tape::new();
+        let a = t.constant(vec![2, 3], vec![0.0, -0.0, -1.5, 2.25, -3.0, 0.5]);
+        let arena = t.arena_len();
+        let r1 = t.reshape(a, vec![3, 2]);
+        let r2 = t.reshape(r1, vec![6]);
+        assert_eq!(t.arena_len(), arena, "a reshape appends nothing");
+        assert_eq!(t.shape(r1), &Shape(vec![3, 2]));
+        assert_eq!(t.shape(r2), &Shape(vec![6]));
+        assert_eq!(bits(t.value(r1)), bits(t.value(a)));
+        assert_eq!(bits(t.node(r2).value), bits(t.value(a)));
+        // A computed op reading a view appends only its own value.
+        let n = t.neg(r2);
+        assert_eq!(t.arena_len(), arena + 6);
+        assert_eq!(bits(t.value(n)), bits(&[-0.0, 0.0, 1.5, -2.25, 3.0, -0.5]));
+    }
+
+    #[test]
+    fn identity_edge_moves_into_an_empty_slot() {
+        let mut g = GradSlots::new(1);
+        let dy = vec![-0.0, 1.5, -2.0];
+        let ptr = dy.as_ptr();
+        g.pass(Var(0), dy);
+        let got = g.slots[0].as_ref().expect("slot filled");
+        assert_eq!(got.as_ptr(), ptr, "the buffer itself moved");
+        assert_eq!(bits(got), bits(&[-0.0, 1.5, -2.0]));
+    }
+
+    #[test]
+    fn identity_edge_adds_when_a_later_consumer_wrote_first() {
+        let mut g = GradSlots::new(1);
+        g.buf(Var(0), 3).copy_from_slice(&[1.0, 0.0, -0.5]);
+        g.grew(3); // the walk's in-flight buffer about to be passed
+        g.pass(Var(0), vec![2.0, -0.0, -0.25]);
+        let got = g.slots[0].as_ref().expect("slot filled");
+        assert_eq!(bits(got), bits(&[3.0, 0.0, -0.75]));
+        assert_eq!((g.live, g.peak), (3, 6), "the passed buffer was dropped");
+    }
+
+    #[test]
+    fn add_of_a_node_with_itself() {
+        let mut store = ParamStore::new();
+        let x = store.register("x", vec![3], vec![-0.0, 1.5, -2.0]);
+        let mut t = Tape::new();
+        let xv = t.param(&store, x);
+        // `x` is read by a later consumer too, so its slot is already
+        // written when the self-add propagates.
+        let s = t.add(xv, xv);
+        let y = t.mul(s, xv);
+        let loss = t.sum_all(y);
+        t.backward(loss, &mut store);
+        // d/dx sum(2x * x) = 4x.
+        assert_eq!(bits(store.grad(x)), bits(&[0.0, 6.0, -8.0]));
+    }
+
+    #[test]
+    fn self_edges_keep_the_two_add_order() {
+        // sub(x, x) after a later consumer wrote 1.0 into x's slot, with
+        // dy = 3e-8: (1 + dy) - dy rounds to the float below 1, whereas
+        // the reordered (1 - dy) + dy would round back up to 1.
+        let mut store = ParamStore::new();
+        let x = store.register("x", vec![1], vec![0.5]);
+        let mut t = Tape::new();
+        let xv = t.param(&store, x);
+        let d = t.sub(xv, xv);
+        let d = t.mul_scalar(d, 3e-8);
+        let y = t.add(d, xv);
+        let loss = t.sum_all(y);
+        t.backward(loss, &mut store);
+        assert_eq!(bits(store.grad(x)), bits(&[1.0 - f32::EPSILON / 2.0]));
+
+        let mut store = ParamStore::new();
+        let x = store.register("x", vec![3], vec![-0.0, 1.5, -2.0]);
+        let mut t = Tape::new();
+        let xv = t.param(&store, x);
+        let h = t.add_bias(xv, xv);
+        let w = t.constant(vec![3], vec![1.0, -0.5, 2.0]);
+        let z = t.mul(h, w);
+        let loss = t.sum_all(z);
+        t.backward(loss, &mut store);
+        assert_eq!(bits(store.grad(x)), bits(&[2.0, -1.0, 4.0]));
+    }
+
+    #[test]
+    fn reverse_walk_frees_interior_gradients() {
+        let mut store = ParamStore::new();
+        let x = store.register("x", vec![4, 2], vec![1.0; 8]);
+        let mut t = Tape::new();
+        let mut v = t.param(&store, x);
+        for shape in [[2, 4], [8, 1], [1, 8], [4, 2]] {
+            v = t.reshape(v, shape.to_vec());
+            v = t.add_scalar(v, -1.0);
+        }
+        let loss = t.sum_all(v);
+        let walk = t.param_gradients(loss);
+        // The scalar seed plus one 8-float buffer moved down the chain.
+        assert_eq!(walk.peak, 8 + 1);
+        let held: Vec<usize> = (0..t.len()).filter(|&i| walk.slots[i].is_some()).collect();
+        assert_eq!(held, vec![0], "only the parameter leaf keeps a buffer");
+        assert_eq!(walk.slots[0].as_deref(), Some(&[1.0f32; 8][..]));
     }
 
     #[test]
